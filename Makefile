@@ -23,8 +23,14 @@ build:
 ## The cluster package gets a dedicated chaos smoke: the crash-failover and
 ## trace-determinism tests re-run under -race, pinning the fabric's
 ## zero-loss and byte-replayable guarantees on every gate.
+## The tensor package also runs as GOARCH=386 (native on x86-64 Linux),
+## which exercises the portable Go microkernel instead of the amd64
+## assembly, and is vetted as GOARCH=arm64; go vet's asmdecl check covers
+## the assembly's frame layout on amd64.
 check: fmt-check vet
 	$(GO) test -race ./...
+	GOARCH=386 $(GO) test ./internal/tensor
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 	$(GO) test -race -count=2 ./internal/obs/...
 	$(GO) test -race -count=2 -run 'TestConcurrentExecuteArena|TestServeSmoke' ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestClusterChaosCrashFailover|TestClusterTraceDeterminism' ./internal/cluster/

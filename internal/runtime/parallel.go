@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"duet/internal/device"
@@ -15,7 +14,7 @@ import (
 // RunParallel executes the placement with real host concurrency: one worker
 // goroutine per device consumes subgraph jobs from its synchronization
 // queue as dependencies resolve and executes their tensor math — the
-// paper's two-process busy-loop architecture (§IV-D, Fig. 9). Outputs are
+// paper's two-process executor architecture (§IV-D, Fig. 9). Outputs are
 // identical to Run's; reported virtual time comes from the same
 // deterministic timing pass (host wall-clock parallelism does not affect
 // the modelled latency, it just computes values faster on multi-core
@@ -54,9 +53,14 @@ func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) 
 
 	// One shared-memory synchronization queue per device worker (§IV-D:
 	// "the synchronization queue is implemented as a shared memory queue
-	// for high efficiency"); workers poll in a busy loop exactly as the
-	// paper's executor does.
+	// for high efficiency"). The paper's executor polls its queue in a busy
+	// loop; here that dispatch cost is charged on the virtual clock by the
+	// timing pass, not burned on the host. A worker that finds its queue
+	// empty blocks on its device's doorbell: a one-slot channel signalled
+	// without blocking after every push and closed once all jobs are done,
+	// so a push between an empty Pop and the wait is never missed.
 	queues := [2]*queue.Queue{queue.New(n + 1), queue.New(n + 1)}
+	bells := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
 	if e.m.reg != nil {
 		queues[device.CPU].Instrument(e.m.reg, e.Platform.Device(device.CPU).Name)
 		queues[device.GPU].Instrument(e.m.reg, e.Platform.Device(device.GPU).Name)
@@ -66,7 +70,13 @@ func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) 
 	wg.Add(n)
 	errCh := make(chan error, n)
 
-	enqueue := func(i int) { queues[place[i]].MustPush(i) }
+	enqueue := func(i int) {
+		queues[place[i]].MustPush(i)
+		select {
+		case bells[place[i]] <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
 
 	worker := func(kind device.Kind) {
 		for {
@@ -75,7 +85,7 @@ func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) 
 				return
 			}
 			if !ok {
-				runtime.Gosched()
+				<-bells[kind]
 				continue
 			}
 			sub := e.subgraphs[i]
@@ -122,11 +132,22 @@ func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) 
 			enqueue(i)
 		}
 	}
-	go worker(device.CPU)
-	go worker(device.GPU)
+	var workers sync.WaitGroup
+	workers.Add(2)
+	for _, kind := range []device.Kind{device.CPU, device.GPU} {
+		go func() {
+			defer workers.Done()
+			worker(kind)
+		}()
+	}
 	wg.Wait()
 	queues[device.CPU].Close()
 	queues[device.GPU].Close()
+	// Every push happened before its worker's wg.Done, so no send can race
+	// these closes; closing wakes the idle workers to observe done and exit.
+	close(bells[device.CPU])
+	close(bells[device.GPU])
+	workers.Wait()
 	select {
 	case err := <-errCh:
 		return nil, err

@@ -62,37 +62,58 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 
 // im2colPacked unrolls one image (Cin, H, W) straight into the packed
 // tile-major panel layout consumed by gemmPacked, skipping the intermediate
-// row-major column matrix entirely. The buffer is cleared first; only
-// in-bounds pixels are written, so padding stays zero.
+// row-major column matrix entirely. Every slot of the packed layout is
+// written (padding pixels and the padding columns of the last panel as
+// zeros), so non-zeroed scratch is safe. Panels are independent and are
+// split across the worker pool.
 func im2colPacked(bp, img []float32, cin, h, w, kh, kw, stride, pad, oh, ow int) {
+	nTiles := (oh*ow + nr - 1) / nr
+	grain := max(1, parallelThreshold/max(1, cin*kh*kw*nr))
+	if nTiles <= grain || effectiveWorkers() <= 1 {
+		im2colPanels(bp, img, 0, nTiles, cin, h, w, kh, kw, stride, pad, oh, ow)
+		return
+	}
+	ParallelForChunked(nTiles, grain, func(t0, t1 int) {
+		im2colPanels(bp, img, t0, t1, cin, h, w, kh, kw, stride, pad, oh, ow)
+	})
+}
+
+// im2colPanels fills packed panels [t0, t1) one whole panel at a time, so
+// the writes are contiguous: panel jt holds output positions
+// [jt*nr, jt*nr+nr) and row kk = (c*kh+ki)*kw+kj holds the input pixel each
+// of them reads through filter tap (c, ki, kj).
+func im2colPanels(bp, img []float32, t0, t1, cin, h, w, kh, kw, stride, pad, oh, ow int) {
 	colRows := cin * kh * kw
-	clear(bp[:packedSize(colRows, oh*ow)])
-	panelStride := colRows * nr
-	ParallelFor(cin, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
+	// Top-left input coordinate of each live output position in the panel.
+	var top, left [nr]int
+	for jt := t0; jt < t1; jt++ {
+		j0 := jt * nr
+		jw := min(nr, oh*ow-j0)
+		for jj := 0; jj < jw; jj++ {
+			top[jj] = (j0+jj)/ow*stride - pad
+			left[jj] = (j0+jj)%ow*stride - pad
+		}
+		dst := bp[jt*colRows*nr : (jt+1)*colRows*nr]
+		kk := 0
+		for c := 0; c < cin; c++ {
 			chImg := img[c*h*w : (c+1)*h*w]
 			for ki := 0; ki < kh; ki++ {
 				for kj := 0; kj < kw; kj++ {
-					kk := (c*kh+ki)*kw + kj
-					for oi := 0; oi < oh; oi++ {
-						ii := oi*stride + ki - pad
-						if ii < 0 || ii >= h {
-							continue // stays zero (padding)
-						}
-						srcRow := chImg[ii*w : (ii+1)*w]
-						for oj := 0; oj < ow; oj++ {
-							jj := oj*stride + kj - pad
-							if jj < 0 || jj >= w {
-								continue
-							}
-							j := oi*ow + oj
-							bp[(j/nr)*panelStride+kk*nr+j%nr] = srcRow[jj]
+					d := dst[kk*nr : kk*nr+nr]
+					for jj := 0; jj < jw; jj++ {
+						ii, ix := top[jj]+ki, left[jj]+kj
+						if uint(ii) < uint(h) && uint(ix) < uint(w) {
+							d[jj] = chImg[ii*w+ix]
+						} else {
+							d[jj] = 0
 						}
 					}
+					clear(d[jw:])
+					kk++
 				}
 			}
 		}
-	})
+	}
 }
 
 // Conv2DBlocked is the previous im2col + blocked-GEMM convolution, kept as
