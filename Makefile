@@ -94,25 +94,9 @@ experiments:
 quick-experiments:
 	$(GO) run ./cmd/duet-bench -quick
 
-## Machine-readable report at paper scale (for plotting). For the quick
-## regression baseline that `make compare` consumes, see the report.json
-## file rule below.
+## Machine-readable report at paper scale (for plotting).
 report:
 	$(GO) run ./cmd/duet-bench -json report.json
-
-## Baseline for `make compare`: generated at quick scale when absent so
-## compare works from a fresh checkout. Note `make report` overwrites it
-## with a paper-scale report; regenerate with `rm report.json && make
-## compare` before comparing again (both sides must be the same scale).
-report.json:
-	@echo "report.json missing; generating a quick-scale comparison baseline"
-	$(GO) run ./cmd/duet-bench -quick -json report.json
-
-## Check a fresh quick run against the stored baseline report. For
-## statistics-backed gating over the committed BENCH_*.json suites, use
-## bench-diff instead.
-compare: report.json
-	$(GO) run ./cmd/duet-bench -quick -compare report.json
 
 ## Statistical perf-regression gate: re-run every suite at quick scale
 ## with seed-varied fresh runs and compare per-metric sample sets against

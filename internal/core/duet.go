@@ -186,25 +186,18 @@ func Build(g *graph.Graph, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	search, err := runtime.New(part, device.NewPlatform(0), cfg.Compiler)
-	if err != nil {
-		return nil, err
-	}
-
-	// The engine compiled every subgraph already; the profile sources reuse
-	// those modules instead of recompiling (per-device lowering still
-	// happens inside the profiler, where it belongs).
-	modules := make([]*compiler.Module, search.NumSubgraphs())
-	for i := range modules {
-		modules[i] = search.Module(i)
-	}
+	// The search engine shares the evaluation engine's compiled modules and
+	// tuned costs, timed on its own noiseless platform; the profile sources
+	// reuse the modules too (per-device lowering still happens inside the
+	// profiler, where it belongs). Each subgraph compiles once per build.
+	search := noisy.WithPlatform(device.NewPlatform(0))
 
 	var src profile.Source
 	var detail *profile.SourceDetail
 	var stats profile.SourceStats
 	records := cfg.Records
 	if records == nil {
-		if src, err = cfg.source(modules); err != nil {
+		if src, err = cfg.source(noisy.Modules()); err != nil {
 			return nil, err
 		}
 		records, err = src.Records(part)
@@ -307,17 +300,12 @@ func (cfg Config) source(modules []*compiler.Module) (profile.Source, error) {
 // monotonicity, criticals measured in hybrid mode). Build calls this
 // automatically unless Config.DisableVerify is set.
 func (e *Engine) Verify() []verify.Finding {
-	n := e.Runtime.NumSubgraphs()
-	modules := make([]*compiler.Module, n)
-	for i := 0; i < n; i++ {
-		modules[i] = e.Runtime.Module(i)
-	}
 	fs := verify.All(verify.Artifacts{
 		Graph:     e.Graph,
 		Partition: e.Partition,
 		Placement: []device.Kind(e.Placement),
 		Records:   e.Profiles,
-		Modules:   modules,
+		Modules:   e.Runtime.Modules(),
 	})
 	if e.detail != nil {
 		fs = append(fs, verify.CheckCostModel(e.Partition, e.Profiles, e.detail, e.ProfileMode)...)

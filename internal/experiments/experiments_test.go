@@ -3,7 +3,10 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
+	"os"
+	"path/filepath"
 
 	"duet/internal/device"
 	"strings"
@@ -210,11 +213,20 @@ func TestTab3FallbackMatchesGPU(t *testing.T) {
 	}
 }
 
+// update regenerates testdata/render_tiny.golden from the current code.
+var update = flag.Bool("update", false, "rewrite testdata/render_tiny.golden")
+
+// TestAllExperimentsRenderOutput renders every experiment at tiny() scale
+// and pins the concatenated output byte-for-byte: every number it prints
+// comes off the seeded virtual clock, so any drift in the timing model,
+// the scheduler, or the noise draw order shows up as a diff. Run with
+// -update to regenerate the golden file after an intended change.
 func TestAllExperimentsRenderOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full render pass is slow")
 	}
 	cfg := tiny()
+	var all bytes.Buffer
 	for _, e := range All() {
 		var buf bytes.Buffer
 		if err := e.Run(cfg, &buf); err != nil {
@@ -226,6 +238,37 @@ func TestAllExperimentsRenderOutput(t *testing.T) {
 		}
 		if len(out) < 100 {
 			t.Errorf("%s output suspiciously short", e.ID)
+		}
+		all.Write(buf.Bytes())
+	}
+	golden := filepath.Join("testdata", "render_tiny.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(all.Bytes(), want) {
+		got := strings.Split(all.String(), "\n")
+		exp := strings.Split(string(want), "\n")
+		for i := 0; i < len(got) || i < len(exp); i++ {
+			var g, w string
+			if i < len(got) {
+				g = got[i]
+			}
+			if i < len(exp) {
+				w = exp[i]
+			}
+			if g != w {
+				t.Fatalf("render drifted from %s at line %d:\n got: %q\nwant: %q", golden, i+1, g, w)
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
+	"runtime/debug"
 	"testing"
 
 	"duet/internal/compiler"
@@ -46,6 +48,40 @@ func assertArenaCutsAllocs(t *testing.T, e *Engine, inputs map[string]*tensor.Te
 	}
 }
 
+// assertPolicyRecyclesLikeRun fails when warm fault-free RunWithPolicy
+// calls miss the arena more often than as many warm Run calls: both compute
+// values through the same serial executor, which hands each boundary value
+// back to the arena after its last consumer. The count runs on one P with
+// garbage collection held off: the arena's sync.Pools keep a per-P private
+// slot and empty on collection, and either would move misses between the
+// two loops at random.
+func assertPolicyRecyclesLikeRun(t *testing.T, e *Engine, inputs map[string]*tensor.Tensor) {
+	t.Helper()
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	place := Uniform(e.NumSubgraphs(), device.CPU)
+	const warm, counted = 2, 6
+	misses := func(run func() (*Result, error)) int64 {
+		var before int64
+		for i := 0; i < warm+counted; i++ {
+			if i == warm {
+				before = e.Arena().Stats().Misses
+			}
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e.Arena().Stats().Misses - before
+	}
+	runMisses := misses(func() (*Result, error) { return e.Run(inputs, place, true) })
+	policyMisses := misses(func() (*Result, error) { return e.RunWithPolicy(inputs, place, DefaultPolicy()) })
+	t.Logf("arena misses over %d warm runs: Run %d, RunWithPolicy %d", counted, runMisses, policyMisses)
+	if policyMisses > runMisses {
+		t.Fatalf("%d warm policy runs missed the arena %d times, %d warm Runs only %d: policy runs do not recycle boundary values",
+			counted, policyMisses, counted, runMisses)
+	}
+}
+
 // TestArenaCutsSteadyStateAllocs is the allocation regression guard for the
 // arena executor: a warm end-to-end Run must allocate at most half of what
 // the same run costs with the arena disabled. The siamese case covers the
@@ -76,7 +112,9 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := newEngine(t, p, 0)
-		assertArenaCutsAllocs(t, e, workload.SiameseInputs(cfg, 7))
+		inputs := workload.SiameseInputs(cfg, 7)
+		assertArenaCutsAllocs(t, e, inputs)
+		assertPolicyRecyclesLikeRun(t, e, inputs)
 	})
 
 	t.Run("elementwise_chain", func(t *testing.T) {

@@ -214,13 +214,5 @@ func advance(active [2]map[int]bool, remaining []vclock.Seconds, dt vclock.Secon
 // MeasureConcurrent samples end-to-end latency under intra-device
 // concurrency.
 func (e *Engine) MeasureConcurrent(place Placement, runs int) ([]vclock.Seconds, error) {
-	samples := make([]vclock.Seconds, 0, runs)
-	for r := 0; r < runs; r++ {
-		res, err := e.RunConcurrent(place)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, res.Latency)
-	}
-	return samples, nil
+	return sampleLatency(runs, func() (*Result, error) { return e.RunConcurrent(place) })
 }

@@ -13,6 +13,7 @@ import (
 	"duet/internal/compiler"
 	"duet/internal/device"
 	"duet/internal/graph"
+	"duet/internal/hb"
 	"duet/internal/ops"
 	"duet/internal/partition"
 	"duet/internal/tensor"
@@ -23,10 +24,6 @@ import (
 // syncQueueOverhead models one push+pop through the shared-memory
 // synchronization queue between the scheduler and a device worker.
 const syncQueueOverhead vclock.Seconds = 2e-6
-
-// SyncQueueOverhead exports the per-dispatch queue overhead for analytic
-// cost models that mirror the engine (schedule's predicted-cost search).
-const SyncQueueOverhead = syncQueueOverhead
 
 // Placement maps each flat subgraph index (partition.Subgraphs() order) to
 // the device kind that executes it.
@@ -108,6 +105,8 @@ type Engine struct {
 	// tuned holds per-subgraph, per-device-kind kernel costs after
 	// low-level schedule selection (the target-dependent back-end step).
 	tuned [][2][]ops.Cost
+	// plan is the dataflow every timing walk runs over.
+	plan *Plan
 	// m holds the resolved observability instruments (all nil until
 	// Instrument attaches a registry; recording through nil is a no-op).
 	m engineMetrics
@@ -121,6 +120,11 @@ type Engine struct {
 // engine ready to execute placements.
 func New(p *partition.Partition, plat *device.Platform, opt compiler.Options) (*Engine, error) {
 	e := &Engine{Parent: p.Parent, Partition: p, Platform: plat, subgraphs: p.Subgraphs(), arena: tensor.NewArena()}
+	plan, err := NewPlan(p.Parent, e.subgraphs)
+	if err != nil {
+		return nil, err
+	}
+	e.plan = plan
 	for _, sub := range e.subgraphs {
 		m, err := compiler.Compile(sub.Graph, opt)
 		if err != nil {
@@ -134,6 +138,23 @@ func New(p *partition.Partition, plat *device.Platform, opt compiler.Options) (*
 	}
 	return e, nil
 }
+
+// WithPlatform returns an engine that times on plat but shares e's
+// subgraphs, compiled modules, tuned kernel costs and dataflow plan, with a
+// fresh arena and no metrics attached. Tuning reads only the devices'
+// noiseless KernelTime, so for any plat built by device.NewPlatform — seeds
+// differ only in noise — the result equals New on plat without compiling
+// again.
+func (e *Engine) WithPlatform(plat *device.Platform) *Engine {
+	return &Engine{
+		Parent: e.Parent, Partition: e.Partition, Platform: plat,
+		subgraphs: e.subgraphs, modules: e.modules, tuned: e.tuned, plan: e.plan,
+		arena: tensor.NewArena(),
+	}
+}
+
+// Plan returns the dataflow plan timing walks run over.
+func (e *Engine) Plan() *Plan { return e.plan }
 
 // KernelCosts returns subgraph i's kernel costs as lowered for the given
 // device kind.
@@ -149,6 +170,10 @@ func (e *Engine) Subgraphs() []*graph.Subgraph { return e.subgraphs }
 
 // Module returns the compiled module of subgraph i.
 func (e *Engine) Module(i int) *compiler.Module { return e.modules[i] }
+
+// Modules returns every subgraph's compiled module in partition order. The
+// slice is the engine's own; callers must not modify it.
+func (e *Engine) Modules() []*compiler.Module { return e.modules }
 
 // SetArena replaces the engine's activation arena. Pass nil to disable
 // buffer recycling and execute with plain allocation.
@@ -176,152 +201,97 @@ func (e *Engine) run(inputs map[string]*tensor.Tensor, place Placement, withValu
 	if err := e.validatePlacement(place); err != nil {
 		return nil, err
 	}
-
-	// Host-resident runtime inputs: available on CPU at t=0, on GPU after a
-	// transfer. readyAt[id][kind] is when the value of parent node id is
-	// usable on that device; -1 marks "not yet there".
-	type avail [2]vclock.Seconds
-	ready := make(map[graph.NodeID]*avail, e.Parent.Len())
-	producedOn := make(map[graph.NodeID]device.Kind)
-	markReady := func(id graph.NodeID, kind device.Kind, t vclock.Seconds) {
-		a, ok := ready[id]
-		if !ok {
-			a = &avail{-1, -1}
-			ready[id] = a
-		}
-		a[kind] = t
+	if !withValues {
+		return e.time(place), nil
 	}
-	for _, id := range e.Parent.InputIDs() {
-		markReady(id, device.CPU, 0)
-		producedOn[id] = device.CPU
+	values, err := e.bindInputs(inputs)
+	if err != nil {
+		return nil, err
 	}
-
-	var values map[graph.NodeID]*tensor.Tensor
-	var boundaryUses map[graph.NodeID]int
-	if withValues {
-		values = make(map[graph.NodeID]*tensor.Tensor)
-		for _, id := range e.Parent.InputIDs() {
-			n := e.Parent.Node(id)
-			v, ok := inputs[n.Name]
-			if !ok {
-				return nil, fmt.Errorf("runtime: missing input %q", n.Name)
-			}
-			if !tensor.ShapeEq(v.Shape(), n.Shape) {
-				return nil, fmt.Errorf("runtime: input %q has shape %v, want %v", n.Name, v.Shape(), n.Shape)
-			}
-			values[id] = v
-		}
-		if e.arena != nil {
-			boundaryUses = e.boundaryUses()
-		}
-	}
-
-	res := &Result{}
-	deviceFree := [2]vclock.Seconds{0, 0}
-	link := e.Platform.Link
-
-	// ensureOn returns when value id becomes usable on kind, scheduling a
-	// transfer if it lives on the other device only.
-	ensureOn := func(id graph.NodeID, kind device.Kind) (vclock.Seconds, error) {
-		a, ok := ready[id]
-		if !ok {
-			return 0, fmt.Errorf("runtime: value of node %q consumed before production", e.Parent.Node(id).Name)
-		}
-		if a[kind] >= 0 {
-			return a[kind], nil
-		}
-		other := device.CPU
-		if kind == device.CPU {
-			other = device.GPU
-		}
-		if a[other] < 0 {
-			return 0, fmt.Errorf("runtime: value of node %q unavailable on both devices", e.Parent.Node(id).Name)
-		}
-		bytes := e.Parent.DataSize(id)
-		dur := link.SampleTransferTime(bytes)
-		start := a[other]
-		end := start + dur
-		a[kind] = end
-		e.m.linkBusy.Add(dur)
-		res.Timeline = append(res.Timeline, Span{
-			Label:  fmt.Sprintf("xfer:%s→%s:%s", other, kind, e.Parent.Node(id).Name),
-			Device: link.Name,
-			Start:  start,
-			End:    end,
-		})
-		return end, nil
-	}
-
-	// Execute subgraphs in partition order; a device runs its assigned
-	// subgraphs serially (footnote 2: sequential execution per device).
-	for i, sub := range e.subgraphs {
-		kind := place[i]
-		dev := e.Platform.Device(kind)
-		start := deviceFree[kind]
-		for _, pid := range sub.BoundaryInputs {
-			t, err := ensureOn(pid, kind)
-			if err != nil {
-				return nil, err
-			}
-			if t > start {
-				start = t
-			}
-		}
-		start += syncQueueOverhead
-
-		dur := vclock.Seconds(0)
-		for _, c := range e.tuned[i][kind] {
-			dur += dev.SampleKernelTime(c)
-		}
-		end := start + dur
-		deviceFree[kind] = end
-		e.m.deviceBusy[kind].Add(dur)
-		res.Timeline = append(res.Timeline, Span{
-			Label:  sub.Graph.Name + " [" + sub.Summary() + "]",
-			Device: dev.Name,
-			Start:  start,
-			End:    end,
-		})
-		for _, pid := range sub.Outputs {
-			markReady(pid, kind, end)
-			producedOn[pid] = kind
-		}
-
-		if withValues {
-			subIn := make(map[string]*tensor.Tensor, len(sub.BoundaryInputs))
-			for _, pid := range sub.BoundaryInputs {
-				subIn["in."+e.Parent.Node(pid).Name] = values[pid]
-			}
-			outs, err := e.modules[i].ExecuteArena(subIn, e.arena)
-			if err != nil {
-				return nil, fmt.Errorf("runtime: executing %s: %w", sub.Graph.Name, err)
-			}
-			for oi, pid := range sub.Outputs {
-				values[pid] = outs[oi]
-			}
-			e.releaseConsumed(sub.BoundaryInputs, boundaryUses, values)
-		}
-	}
-
-	// The result is consumed on the host: outputs produced on the GPU pay a
-	// final transfer back.
-	finish := vclock.Seconds(0)
-	for _, o := range e.Parent.Outputs() {
-		t, err := ensureOn(o, device.CPU)
-		if err != nil {
-			return nil, err
-		}
-		if t > finish {
-			finish = t
-		}
-	}
-	res.Latency = finish
-	if withValues {
-		for _, o := range e.Parent.Outputs() {
-			res.Outputs = append(res.Outputs, values[o])
-		}
+	res := e.time(place)
+	if res.Outputs, err = e.execute(values); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// time walks the placement once on the engine's platform, recording every
+// subgraph and transfer on the timeline and in the busy-seconds metrics.
+func (e *Engine) time(place Placement) *Result {
+	res := &Result{}
+	link := e.Platform.Link
+	t := e.SampledTiming(e.Platform)
+	t.OnTransfer = func(id graph.NodeID, from, to device.Kind, start, dur vclock.Seconds) {
+		e.m.linkBusy.Add(dur)
+		res.Timeline = append(res.Timeline, Span{
+			Label:  fmt.Sprintf("xfer:%s→%s:%s", from, to, e.Parent.Node(id).Name),
+			Device: link.Name,
+			Start:  start,
+			End:    start + dur,
+		})
+	}
+	t.OnExec = func(i int, kind device.Kind, start, dur vclock.Seconds) {
+		e.m.deviceBusy[kind].Add(dur)
+		sub := e.subgraphs[i]
+		res.Timeline = append(res.Timeline, Span{
+			Label:  sub.Graph.Name + " [" + sub.Summary() + "]",
+			Device: e.Platform.Device(kind).Name,
+			Start:  start,
+			End:    start + dur,
+		})
+	}
+	var free [2]vclock.Seconds
+	res.Latency = e.plan.Walk(place, &free, 0, t)
+	return res
+}
+
+// bindInputs checks the caller's inputs against the parent graph's input
+// names and shapes and keys them by node.
+func (e *Engine) bindInputs(inputs map[string]*tensor.Tensor) (map[graph.NodeID]*tensor.Tensor, error) {
+	values := make(map[graph.NodeID]*tensor.Tensor, e.Parent.Len())
+	for _, id := range e.Parent.InputIDs() {
+		n := e.Parent.Node(id)
+		v, ok := inputs[n.Name]
+		if !ok {
+			return nil, fmt.Errorf("runtime: missing input %q", n.Name)
+		}
+		if !tensor.ShapeEq(v.Shape(), n.Shape) {
+			return nil, fmt.Errorf("runtime: input %q has shape %v, want %v", n.Name, v.Shape(), n.Shape)
+		}
+		values[id] = v
+	}
+	return values, nil
+}
+
+// execute is the serial value executor: it runs every subgraph's module on
+// the host in partition order, returns boundary values to the arena after
+// their last consumer, and returns the graph outputs. Placement does not
+// enter — a value is bit-identical whichever device the timing model put
+// its subgraph on.
+func (e *Engine) execute(values map[graph.NodeID]*tensor.Tensor) ([]*tensor.Tensor, error) {
+	var uses map[graph.NodeID]int
+	if e.arena != nil {
+		uses = e.boundaryUses()
+	}
+	for i, sub := range e.subgraphs {
+		subIn := make(map[string]*tensor.Tensor, len(sub.BoundaryInputs))
+		for _, pid := range sub.BoundaryInputs {
+			subIn["in."+e.Parent.Node(pid).Name] = values[pid]
+		}
+		outs, err := e.modules[i].ExecuteArena(subIn, e.arena)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: executing %s: %w", sub.Graph.Name, err)
+		}
+		for oi, pid := range sub.Outputs {
+			values[pid] = outs[oi]
+		}
+		e.releaseConsumed(sub.BoundaryInputs, uses, values)
+	}
+	outputs := make([]*tensor.Tensor, 0, len(e.Parent.Outputs()))
+	for _, o := range e.Parent.Outputs() {
+		outputs = append(outputs, values[o])
+	}
+	return outputs, nil
 }
 
 // boundaryUses counts, per parent node, how many subgraphs consume its value
@@ -380,13 +350,34 @@ func (e *Engine) releaseConsumed(consumed []graph.NodeID, uses map[graph.NodeID]
 // MeasureLatency performs runs timing-only executions and returns every
 // sample — the engine-level analogue of the paper's 5000-run measurement.
 func (e *Engine) MeasureLatency(place Placement, runs int) ([]vclock.Seconds, error) {
+	return sampleLatency(runs, func() (*Result, error) { return e.Run(nil, place, false) })
+}
+
+// sampleLatency collects the latencies of runs calls of run, stopping at
+// the first error.
+func sampleLatency(runs int, run func() (*Result, error)) ([]vclock.Seconds, error) {
 	samples := make([]vclock.Seconds, 0, runs)
 	for r := 0; r < runs; r++ {
-		res, err := e.Run(nil, place, false)
+		res, err := run()
 		if err != nil {
 			return nil, err
 		}
 		samples = append(samples, res.Latency)
 	}
 	return samples, nil
+}
+
+// SyncSkeleton returns the firing rule of the device-worker executors,
+// derived from the compiled sync plan (hb.SyncPlanSubgraphs) that the
+// happens-before verifier proves sufficient, so executors and proof cannot
+// drift apart: dependents[j] lists the subgraphs waiting on subgraph j,
+// pending[i] counts the subgraphs i waits on.
+func (e *Engine) SyncSkeleton() (dependents [][]int, pending []int) {
+	n := len(e.subgraphs)
+	dependents, pending = make([][]int, n), make([]int, n)
+	for _, se := range hb.SyncPlanSubgraphs(e.subgraphs) {
+		pending[se.To]++
+		dependents[se.From] = append(dependents[se.From], se.To)
+	}
+	return dependents, pending
 }

@@ -5,8 +5,6 @@ import (
 	"sync"
 
 	"duet/internal/device"
-	"duet/internal/graph"
-	"duet/internal/hb"
 	"duet/internal/queue"
 	"duet/internal/tensor"
 )
@@ -25,31 +23,15 @@ func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) 
 		return nil, err
 	}
 
+	values, err := e.bindInputs(inputs)
+	if err != nil {
+		return nil, err
+	}
 	n := len(e.subgraphs)
-	values := make(map[graph.NodeID]*tensor.Tensor, e.Parent.Len())
-	for _, id := range e.Parent.InputIDs() {
-		node := e.Parent.Node(id)
-		v, ok := inputs[node.Name]
-		if !ok {
-			return nil, fmt.Errorf("runtime: missing input %q", node.Name)
-		}
-		if !tensor.ShapeEq(v.Shape(), node.Shape) {
-			return nil, fmt.Errorf("runtime: input %q has shape %v, want %v", node.Name, v.Shape(), node.Shape)
-		}
-		values[id] = v
-	}
 
-	// Dependency bookkeeping: pending[i] counts unresolved producer
-	// subgraphs; dependents[p] lists consumers of p's outputs. Both derive
-	// from the compiled sync plan — the same artifact the happens-before
-	// verifier proves sufficient (verify.CheckHB), so the executor's firing
-	// rule and the static proof obligation cannot drift apart.
-	pending := make([]int, n)
-	dependents := make([][]int, n)
-	for _, se := range hb.SyncPlanSubgraphs(e.subgraphs) {
-		pending[se.To]++
-		dependents[se.From] = append(dependents[se.From], se.To)
-	}
+	// pending[i] counts subgraph i's unresolved producers; dependents[p]
+	// lists the consumers of p's outputs.
+	dependents, pending := e.SyncSkeleton()
 
 	// One shared-memory synchronization queue per device worker (§IV-D:
 	// "the synchronization queue is implemented as a shared memory queue

@@ -119,10 +119,11 @@ func other(k device.Kind) device.Kind {
 //
 // A nil inputs map runs timing-only (like Run with withValues=false);
 // otherwise tensor values are materialised and Result.Outputs is populated.
-// Values are computed once per subgraph after its attempts succeed, on the
-// host, so a run that retried or failed over produces outputs bit-identical
-// to a fault-free run. Result.Faults summarises the tolerance activity, and
-// fault/backoff intervals appear on Result.Timeline.
+// Values are computed after the timing pass by Run's serial executor, once
+// per subgraph on the host, so a run that retried or failed over produces
+// outputs bit-identical to a fault-free run. Result.Faults summarises the
+// tolerance activity, and fault/backoff intervals appear on
+// Result.Timeline.
 func (e *Engine) RunWithPolicy(inputs map[string]*tensor.Tensor, place Placement, pol Policy) (*Result, error) {
 	res, err := e.runWithPolicy(inputs, place, pol)
 	if res != nil && res.Faults != nil {
@@ -145,7 +146,25 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 	if err := e.validatePlacement(place); err != nil {
 		return nil, err
 	}
-	withValues := inputs != nil
+	if inputs == nil {
+		return e.timeWithPolicy(place, pol)
+	}
+	values, err := e.bindInputs(inputs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.timeWithPolicy(place, pol)
+	if err != nil {
+		return res, err
+	}
+	res.Outputs, err = e.execute(values)
+	return res, err
+}
+
+// timeWithPolicy walks the placement under the fault policy: the serial
+// list-scheduling model of Walk, extended with failed attempts, retries,
+// backoff, failover and the circuit breaker.
+func (e *Engine) timeWithPolicy(place Placement, pol Policy) (*Result, error) {
 	inj := pol.Injector
 	if !inj.Empty() {
 		inj.Install(e.Platform)
@@ -170,22 +189,6 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 	}
 	for _, id := range e.Parent.InputIDs() {
 		markReady(id, device.CPU, 0)
-	}
-
-	var values map[graph.NodeID]*tensor.Tensor
-	if withValues {
-		values = make(map[graph.NodeID]*tensor.Tensor)
-		for _, id := range e.Parent.InputIDs() {
-			n := e.Parent.Node(id)
-			v, ok := inputs[n.Name]
-			if !ok {
-				return nil, fmt.Errorf("runtime: missing input %q", n.Name)
-			}
-			if !tensor.ShapeEq(v.Shape(), n.Shape) {
-				return nil, fmt.Errorf("runtime: input %q has shape %v, want %v", n.Name, v.Shape(), n.Shape)
-			}
-			values[id] = v
-		}
 	}
 
 	res := &Result{Faults: rep}
@@ -362,20 +365,6 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 				ErrExhausted, sub.Graph.Name, dev.Name, retry, cause)
 		}
 		rep.FinalPlacement[i] = kind
-
-		if withValues {
-			subIn := make(map[string]*tensor.Tensor, len(sub.BoundaryInputs))
-			for _, pid := range sub.BoundaryInputs {
-				subIn["in."+e.Parent.Node(pid).Name] = values[pid]
-			}
-			outs, err := e.modules[i].ExecuteArena(subIn, e.arena)
-			if err != nil {
-				return res, fmt.Errorf("runtime: executing %s: %w", sub.Graph.Name, err)
-			}
-			for oi, pid := range sub.Outputs {
-				values[pid] = outs[oi]
-			}
-		}
 	}
 
 	// Results return to the host, with the same transfer-retry budget.
@@ -394,11 +383,6 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 		}
 	}
 	res.Latency = finish
-	if withValues {
-		for _, o := range e.Parent.Outputs() {
-			res.Outputs = append(res.Outputs, values[o])
-		}
-	}
 	return res, nil
 }
 
@@ -407,13 +391,5 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 // stream advances across runs, so the sequence of samples is reproducible
 // from the injector seed but individual runs differ.
 func (e *Engine) MeasureWithPolicy(place Placement, pol Policy, runs int) ([]vclock.Seconds, error) {
-	samples := make([]vclock.Seconds, 0, runs)
-	for r := 0; r < runs; r++ {
-		res, err := e.RunWithPolicy(nil, place, pol)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, res.Latency)
-	}
-	return samples, nil
+	return sampleLatency(runs, func() (*Result, error) { return e.RunWithPolicy(nil, place, pol) })
 }

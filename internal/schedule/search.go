@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"duet/internal/device"
-	"duet/internal/graph"
 	"duet/internal/partition"
 	"duet/internal/profile"
 	"duet/internal/runtime"
@@ -15,120 +14,34 @@ import (
 )
 
 // Predictor is the analytic makespan model behind the wide Step-3 search.
-// It mirrors the engine's serial execution loop — per-device serial queues,
-// lazy cross-device value transfers, per-dispatch queue overhead, final
-// host gather — but replaces every measured kernel time with the profile
-// record's per-device time (which in predicted/hybrid mode comes from the
-// learned cost model). One evaluation is O(subgraphs + boundary edges),
+// It runs the engine's own timing walk (runtime.Plan.Walk) but takes every
+// subgraph's time from its profile record — which in predicted/hybrid mode
+// comes from the learned cost model — and every transfer's from the
+// noiseless link model. One evaluation is O(subgraphs + boundary edges),
 // cheap enough to score thousands of candidate placements per second.
 type Predictor struct {
-	recs []profile.Record
-	link *device.Link
-
-	// Per unique boundary value: producing flat subgraph (-1 for graph
-	// inputs) and payload bytes.
-	valueProducer []int
-	valueBytes    []int
-	// deps[i] lists the value indices subgraph i consumes; produced[i] the
-	// value indices it publishes.
-	deps     [][]int
-	produced [][]int
-	// outputs lists the value indices gathered on the host at the end.
-	outputs []int
-
-	// scratch buffers reused across Cost calls (Predictor is not safe for
-	// concurrent use).
-	avail [][2]vclock.Seconds
-	end   []vclock.Seconds
+	// plan is nil when the partition is not executable; every placement
+	// then costs +Inf.
+	plan   *runtime.Plan
+	timing runtime.Timing
 }
 
 // NewPredictor builds a predictor for the partition, records, and link.
 func NewPredictor(part *partition.Partition, records []profile.Record, link *device.Link) *Predictor {
-	subs := part.Subgraphs()
-	p := &Predictor{recs: records, link: link, deps: make([][]int, len(subs))}
-
-	producerOf := make(map[graph.NodeID]int)
-	for _, id := range part.Parent.InputIDs() {
-		producerOf[id] = -1
-	}
-	for i, sub := range subs {
-		for _, pid := range sub.Outputs {
-			producerOf[pid] = i
-		}
-	}
-	valueIdx := map[graph.NodeID]int{}
-	intern := func(pid graph.NodeID) int {
-		if vi, ok := valueIdx[pid]; ok {
-			return vi
-		}
-		vi := len(p.valueProducer)
-		valueIdx[pid] = vi
-		p.valueProducer = append(p.valueProducer, producerOf[pid])
-		p.valueBytes = append(p.valueBytes, part.Parent.DataSize(pid))
-		return vi
-	}
-	for i, sub := range subs {
-		for _, pid := range sub.BoundaryInputs {
-			p.deps[i] = append(p.deps[i], intern(pid))
-		}
-	}
-	for _, o := range part.Parent.Outputs() {
-		p.outputs = append(p.outputs, intern(o))
-	}
-	p.produced = make([][]int, len(subs))
-	for vi, prod := range p.valueProducer {
-		if prod >= 0 {
-			p.produced[prod] = append(p.produced[prod], vi)
-		}
-	}
-	p.avail = make([][2]vclock.Seconds, len(p.valueProducer))
-	p.end = make([]vclock.Seconds, len(subs))
-	return p
+	plan, _ := runtime.NewPlan(part.Parent, part.Subgraphs()) // nil on error
+	return &Predictor{plan: plan, timing: runtime.Timing{
+		Exec:     func(i int, kind device.Kind) vclock.Seconds { return records[i].TimeOn(kind) },
+		Transfer: link.TransferTime,
+	}}
 }
 
 // Cost returns the predicted end-to-end latency of the placement.
 func (p *Predictor) Cost(place runtime.Placement) vclock.Seconds {
-	const unavailable = vclock.Seconds(-1)
-	for vi := range p.avail {
-		if p.valueProducer[vi] < 0 {
-			// Graph inputs start resident on the host.
-			p.avail[vi] = [2]vclock.Seconds{device.CPU: 0, device.GPU: unavailable}
-		} else {
-			p.avail[vi] = [2]vclock.Seconds{unavailable, unavailable}
-		}
-	}
-	ensure := func(vi int, kind device.Kind) vclock.Seconds {
-		if t := p.avail[vi][kind]; t >= 0 {
-			return t
-		}
-		t := p.avail[vi][other(kind)] + p.link.TransferTime(p.valueBytes[vi])
-		p.avail[vi][kind] = t
-		return t
+	if p.plan == nil {
+		return vclock.Seconds(math.Inf(1))
 	}
 	var free [2]vclock.Seconds
-	for i := range p.deps {
-		kind := place[i]
-		start := free[kind]
-		for _, vi := range p.deps[i] {
-			if t := ensure(vi, kind); t > start {
-				start = t
-			}
-		}
-		start += runtime.SyncQueueOverhead
-		end := start + p.recs[i].TimeOn(kind)
-		free[kind] = end
-		p.end[i] = end
-		for _, vi := range p.produced[i] {
-			p.avail[vi][kind] = end
-		}
-	}
-	finish := vclock.Seconds(0)
-	for _, vi := range p.outputs {
-		if t := ensure(vi, device.CPU); t > finish {
-			finish = t
-		}
-	}
-	return finish
+	return p.plan.Walk(place, &free, 0, p.timing)
 }
 
 // SearchOptions tunes the wide Step-3 correction search.

@@ -31,14 +31,12 @@ type batchEngine struct {
 	// per member.
 	splitOK bool
 
-	// Dependency skeleton over flat subgraph indices: deps[j] lists the
-	// subgraphs consuming an output of j (one entry per consumed value),
-	// npred[i] is the matching predecessor count, initial the dependency-free
-	// roots. Workers walk this dataflow instead of partition order so a
-	// replica's two devices genuinely execute concurrently.
-	deps    [][]int
-	npred   []int
-	initial []int
+	// Firing rule over flat subgraph indices (runtime.Engine.SyncSkeleton):
+	// deps[j] lists the subgraphs waiting on j, npred[i] counts the
+	// subgraphs i waits on. Workers walk this dataflow instead of partition
+	// order so a replica's two devices genuinely execute concurrently.
+	deps  [][]int
+	npred []int
 }
 
 // newBaseEngine wraps the already-built core engine as the base batch size.
@@ -54,20 +52,21 @@ func newBaseEngine(ce *core.Engine, pipelined bool) (*batchEngine, error) {
 	} else {
 		be.place = ce.Placement.Clone()
 	}
-	if err := be.checkPlace(); err != nil {
+	if err := be.prepare(); err != nil {
 		return nil, err
 	}
-	be.deps, be.npred, be.initial = depSkeleton(ce.Runtime)
 	return be, nil
 }
 
-// checkPlace runs the verifier's placement pass over the serving placement
+// prepare runs the verifier's placement pass over the serving placement
 // before any replica dereferences it (replica workers index be.place on the
-// hot path without further checks).
-func (be *batchEngine) checkPlace() error {
+// hot path without further checks), then takes the workers' firing rule
+// from the engine's sync skeleton.
+func (be *batchEngine) prepare() error {
 	if err := verify.CheckPlacement([]device.Kind(be.place), be.eng.Partition); err != nil {
 		return fmt.Errorf("serve: batch size %d: %w", be.rows, err)
 	}
+	be.deps, be.npred = be.eng.SyncSkeleton()
 	return nil
 }
 
@@ -129,10 +128,9 @@ func newBatchEngine(cfg Config, rows int, base *batchEngine) (*batchEngine, erro
 	} else {
 		be.place = latencyPlacement(eng)
 	}
-	if err := be.checkPlace(); err != nil {
+	if err := be.prepare(); err != nil {
 		return nil, err
 	}
-	be.deps, be.npred, be.initial = depSkeleton(eng)
 	return be, nil
 }
 
@@ -179,35 +177,6 @@ func shapeEq(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// depSkeleton derives the cross-subgraph dataflow edges from boundary
-// inputs, mirroring RunParallel's bookkeeping but precomputed once per
-// batch engine instead of per run.
-func depSkeleton(eng *runtime.Engine) (deps [][]int, npred []int, initial []int) {
-	subs := eng.Subgraphs()
-	producer := map[graph.NodeID]int{}
-	for i, sub := range subs {
-		for _, pid := range sub.Outputs {
-			producer[pid] = i
-		}
-	}
-	deps = make([][]int, len(subs))
-	npred = make([]int, len(subs))
-	for i, sub := range subs {
-		for _, pid := range sub.BoundaryInputs {
-			if j, ok := producer[pid]; ok {
-				deps[j] = append(deps[j], i)
-				npred[i]++
-			}
-		}
-	}
-	for i := range subs {
-		if npred[i] == 0 {
-			initial = append(initial, i)
-		}
-	}
-	return deps, npred, initial
 }
 
 // kindCost sums subgraph i's tuned kernel times on the given device kind,
@@ -297,51 +266,9 @@ func throughputPlacement(eng *runtime.Engine) runtime.Placement {
 // estimate.
 func (be *batchEngine) criticalPath() vclock.Seconds {
 	eng := be.eng
-	parent := eng.Parent
-	link := eng.Platform.Link
-	type avail [2]vclock.Seconds
-	ready := make(map[graph.NodeID]*avail, parent.Len())
-	for _, id := range parent.InputIDs() {
-		ready[id] = &avail{0, -1}
-	}
-	ensureOn := func(id graph.NodeID, kind device.Kind) vclock.Seconds {
-		a := ready[id]
-		if a[kind] >= 0 {
-			return a[kind]
-		}
-		other := device.CPU
-		if kind == device.CPU {
-			other = device.GPU
-		}
-		a[kind] = a[other] + link.TransferTime(parent.DataSize(id))
-		return a[kind]
-	}
-	var devFree [2]vclock.Seconds
-	for i, sub := range eng.Subgraphs() {
-		kind := be.place[i]
-		start := devFree[kind]
-		for _, pid := range sub.BoundaryInputs {
-			if t := ensureOn(pid, kind); t > start {
-				start = t
-			}
-		}
-		start += syncQueueOverhead
-		end := start + kindCost(eng, i, kind)
-		devFree[kind] = end
-		for _, pid := range sub.Outputs {
-			a, ok := ready[pid]
-			if !ok {
-				a = &avail{-1, -1}
-				ready[pid] = a
-			}
-			a[kind] = end
-		}
-	}
-	var finish vclock.Seconds
-	for _, o := range parent.Outputs() {
-		if t := ensureOn(o, device.CPU); t > finish {
-			finish = t
-		}
-	}
-	return finish
+	var free [2]vclock.Seconds
+	return eng.Plan().Walk(be.place, &free, 0, runtime.Timing{
+		Exec:     func(i int, kind device.Kind) vclock.Seconds { return kindCost(eng, i, kind) },
+		Transfer: eng.Platform.Link.TransferTime,
+	})
 }

@@ -63,12 +63,13 @@ func (r *replica) reset() {
 	r.busy = [2]vclock.Seconds{}
 }
 
-// timeBatch walks the batch's subgraphs in partition order against the
-// replica's virtual device clocks and fixes the batch's finish time. In
-// pipelined mode the clocks carry over from the previous batch — request
-// r+1's CPU phase overlaps request r's GPU phase exactly as in
-// runtime.MeasurePipelined — otherwise both clocks jump to the dispatch
-// instant (one batch at a time). Event-loop thread only.
+// timeBatch walks the batch through the runtime's timing model against the
+// replica's virtual device clocks, sampling the replica's own noise
+// streams, and fixes the batch's finish time. In pipelined mode the clocks
+// carry over from the previous batch — request r+1's CPU phase overlaps
+// request r's GPU phase, as in runtime.MeasurePipelined — otherwise both
+// clocks jump to the dispatch instant (one batch at a time). Event-loop
+// thread only.
 func (r *replica) timeBatch(b *batch, now vclock.Seconds, pipelined bool) {
 	if !pipelined {
 		start := now
@@ -85,66 +86,16 @@ func (r *replica) timeBatch(b *batch, now vclock.Seconds, pipelined bool) {
 			}
 		}
 	}
-
-	be := b.be
-	eng := be.eng
-	parent := eng.Parent
-	link := r.plat.Link
-	type avail [2]vclock.Seconds
-	ready := make(map[graph.NodeID]*avail, parent.Len())
-	for _, id := range parent.InputIDs() {
-		ready[id] = &avail{now, -1}
-	}
-	ensureOn := func(id graph.NodeID, kind device.Kind) vclock.Seconds {
-		a := ready[id]
-		if a[kind] >= 0 {
-			return a[kind]
-		}
-		other := device.CPU
-		if kind == device.CPU {
-			other = device.GPU
-		}
-		a[kind] = a[other] + link.SampleTransferTime(parent.DataSize(id))
-		return a[kind]
-	}
-	for i, sub := range eng.Subgraphs() {
-		kind := be.place[i]
-		dev := r.plat.Device(kind)
-		start := r.devFree[kind]
-		for _, pid := range sub.BoundaryInputs {
-			if t := ensureOn(pid, kind); t > start {
-				start = t
-			}
-		}
-		start += syncQueueOverhead
-		var dur vclock.Seconds
-		for _, c := range eng.KernelCosts(i, kind) {
-			dur += dev.SampleKernelTime(c)
-		}
-		end := start + dur
-		r.devFree[kind] = end
-		r.busy[kind] += dur
-		for _, pid := range sub.Outputs {
-			a, ok := ready[pid]
-			if !ok {
-				a = &avail{-1, -1}
-				ready[pid] = a
-			}
-			a[kind] = end
-		}
-	}
-	finish := now
-	for _, o := range parent.Outputs() {
-		if t := ensureOn(o, device.CPU); t > finish {
-			finish = t
-		}
-	}
-	b.finish = finish
+	eng := b.be.eng
+	t := eng.SampledTiming(r.plat)
+	t.OnExec = func(_ int, kind device.Kind, _, dur vclock.Seconds) { r.busy[kind] += dur }
+	b.finish = eng.Plan().Walk(b.be.place, &r.devFree, now, t)
 }
 
 // batch is one dispatched unit of work: the stacked inputs of its member
 // requests flowing through one batchEngine on one replica. Value state is
-// guarded by mu; the dependency counters mirror the engine's RunParallel.
+// guarded by mu; the dependency counters start from the batch engine's
+// firing rule, the one RunParallel fires on.
 type batch struct {
 	be       *batchEngine
 	members  []*pending

@@ -33,10 +33,6 @@ import (
 	"duet/internal/vclock"
 )
 
-// syncQueueOverhead mirrors the runtime's per-subgraph synchronization-queue
-// cost (one push+pop through the shared-memory queue).
-const syncQueueOverhead vclock.Seconds = 2e-6
-
 // Outcome classifies how the server disposed of a request.
 type Outcome string
 
@@ -570,8 +566,10 @@ func (s *Server) dispatch(r *replica, members []*pending, now vclock.Seconds) er
 	s.m.recordBatch(rows)
 
 	// Seed the device workers with the batch's dependency-free subgraphs.
-	for _, i := range be.initial {
-		r.ch[be.place[i]] <- job{b: b, idx: i}
+	for i, n := range be.npred {
+		if n == 0 {
+			r.ch[be.place[i]] <- job{b: b, idx: i}
+		}
 	}
 	return nil
 }
